@@ -119,14 +119,14 @@ int main(int argc, char** argv) {
               "rel-err%");
   sim::BenchReport report("bench_yao_micro", cli.quick);
   for (const int64_t m : {2500, 10000, 50000}) {
-    sim::SeriesTable table;
     char title[80];
     std::snprintf(title, sizeof(title),
                   "Yao accuracy (Appendix B) — n/m = %lld",
                   static_cast<long long>(100000 / m));
-    table.title = title;
-    table.x_label = "k";
-    table.series_names = {"exact", "approx", "rel-err%"};
+    sim::SeriesTable table{.title = title,
+                           .x_label = "k",
+                           .series_names = {"exact", "approx", "rel-err%"},
+                           .rows = {}};
     for (const int64_t k : {10, 100, 1000, 10000}) {
       const double e = costmodel::YaoExact(100000, m, k);
       const double a = costmodel::YaoApprox(100000, m, k);

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # One-command repo check: plain build + full test suite (including the
-# bench-smoke JSON-schema and determinism tests), then an address+undefined
-# sanitizer build (VIEWMAT_SANITIZE) running the same suite plus the
-# crash-safety torture and recovery labels (the torture label includes the
-# exhaustive crash-point sweep: one crashed run per disk operation for every
-# maintenance strategy) and the wire-protocol chaos label, then a
-# thread-sanitized build running the concurrency suites (tsan label) and the
-# chaos suites again under TSan.
+# bench-smoke JSON-schema and determinism tests), then a Release (-O3) build
+# running the whole suite, the bench_diff regression gates, then an
+# address+undefined sanitizer build (VIEWMAT_SANITIZE) running the same suite
+# plus the crash-safety torture and recovery labels (the torture label
+# includes the exhaustive crash-point sweep: one crashed run per disk
+# operation for every maintenance strategy) and the wire-protocol chaos label,
+# then a thread-sanitized build running the concurrency suites (tsan label)
+# and the chaos suites again under TSan.
 #
 # Usage: scripts/check.sh [--quick]
-#   --quick   plain build only (skip the sanitizer builds and torture label)
+#   --quick   plain build only (skip the Release and sanitizer builds, the
+#             bench gates and the torture label)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -27,6 +29,12 @@ if [[ "$quick" == 1 ]]; then
   echo "check.sh --quick: OK"
   exit 0
 fi
+
+echo "== release build (-O3 -Werror) =="
+cmake -S . -B build-release -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j "$jobs"
+echo "== release tests (tier 1) =="
+ctest --test-dir build-release --output-on-failure -j "$jobs"
 
 echo "== bench regression gate (bench_diff vs committed baselines) =="
 # Fresh full-mode reports diffed against the committed BENCH_*.json at a 5%

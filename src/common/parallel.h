@@ -141,11 +141,13 @@ inline void ParallelFor(size_t jobs, size_t n, size_t grain,
             try {
               fn(i);
             } catch (...) {
+              // Cancel before queueing on error_mu, so the other workers
+              // stop claiming indices while this one records the error.
+              cancelled.store(true, std::memory_order_relaxed);
               {
                 std::lock_guard<std::mutex> lock(error_mu);
                 if (error == nullptr) error = std::current_exception();
               }
-              cancelled.store(true, std::memory_order_relaxed);
               return;
             }
           }

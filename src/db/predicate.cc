@@ -321,7 +321,9 @@ std::string Predicate::ToString(const Schema* schema) const {
     if (schema != nullptr && i < schema->field_count()) {
       return schema->field(i).name;
     }
-    return "$" + std::to_string(i);
+    std::string name = "$";
+    name.append(std::to_string(i));
+    return name;
   };
   switch (kind_) {
     case Kind::kTrue:
@@ -348,16 +350,24 @@ std::string Predicate::ToString(const Schema* schema) const {
           op = ">=";
           break;
       }
-      return field_name(field_) + " " + op + " " + constant_.ToString();
+      std::string out = field_name(field_);
+      out.append(" ").append(op).append(" ").append(constant_.ToString());
+      return out;
     }
     case Kind::kAnd:
-      return "(" + children_[0]->ToString(schema) + " and " +
-             children_[1]->ToString(schema) + ")";
-    case Kind::kOr:
-      return "(" + children_[0]->ToString(schema) + " or " +
-             children_[1]->ToString(schema) + ")";
-    case Kind::kNot:
-      return "not (" + children_[0]->ToString(schema) + ")";
+    case Kind::kOr: {
+      std::string out = "(";
+      out.append(children_[0]->ToString(schema))
+          .append(kind_ == Kind::kAnd ? " and " : " or ")
+          .append(children_[1]->ToString(schema))
+          .append(")");
+      return out;
+    }
+    case Kind::kNot: {
+      std::string out = "not (";
+      out.append(children_[0]->ToString(schema)).append(")");
+      return out;
+    }
   }
   return "?";
 }

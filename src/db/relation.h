@@ -37,6 +37,9 @@ enum class AccessMethod {
 class Relation {
  public:
   using TupleVisitor = std::function<bool(const Tuple&)>;
+  /// Visitor over serialized records (schema().record_size() bytes). The
+  /// pointer is valid only during the call.
+  using RecordVisitor = std::function<bool(const uint8_t*)>;
 
   struct Options {
     /// Bucket count for kClusteredHash; 0 sizes it for `expected_tuples`.
@@ -98,6 +101,11 @@ class Relation {
   /// order. Heap: unclustered scan through the secondary index (random data
   /// page fetches). Hash: InvalidArgument — hashing cannot serve ranges.
   Status RangeScanByKey(int64_t lo, int64_t hi, const TupleVisitor& visit) const;
+
+  /// RangeScanByKey without the decode: visits each record's bytes in
+  /// place, in the same order and at the same cost.
+  Status RangeScanRecords(int64_t lo, int64_t hi,
+                          const RecordVisitor& visit) const;
 
   /// Pages occupied by data (for experiment reporting).
   size_t data_page_count() const;

@@ -6,6 +6,14 @@
 
 namespace viewmat::db {
 
+void Value::AssignString(const char* data, size_t len) {
+  if (std::string* s = std::get_if<std::string>(&rep_)) {
+    s->assign(data, len);
+  } else {
+    rep_.emplace<std::string>(data, len);
+  }
+}
+
 double Value::Numeric() const {
   switch (type()) {
     case ValueType::kInt64:

@@ -37,6 +37,10 @@ class Value {
   explicit Value(double v) : rep_(v) {}
   explicit Value(std::string v) : rep_(std::move(v)) {}
 
+  /// Makes this a string value holding `len` bytes at `data`, reusing this
+  /// value's string buffer when it already holds a string.
+  void AssignString(const char* data, size_t len);
+
   ValueType type() const {
     return static_cast<ValueType>(rep_.index());
   }

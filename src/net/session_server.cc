@@ -71,17 +71,9 @@ bool DecodeStamp(const uint8_t* data, uint16_t len, Stamp* out) {
 }  // namespace
 
 uint64_t DigestMultiset(const sim::ViewMultiset& m) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& [t, count] : m) {
-    mix(t.ToString() + ":" + std::to_string(count));
-  }
-  return h;
+  MultisetDigest digest;
+  for (const auto& [t, count] : m) digest.Add(t, count);
+  return digest.value();
 }
 
 void RefreshDaemon::OnMessage(NodeId from, const Message& msg) {
@@ -323,10 +315,10 @@ bool SessionServer::Execute(const Message& msg, Message* reply,
         break;
     }
   } else {  // kQuery
-    sim::ViewMultiset got;
+    MultisetDigest digest;
     const Status st =
         driver->Query(msg.lo, msg.hi, [&](const db::Tuple& t, int64_t count) {
-          got[t] += count;
+          digest.Add(t, count);
           return true;
         });
     if (!st.ok()) {
@@ -337,7 +329,7 @@ bool SessionServer::Execute(const Message& msg, Message* reply,
       reply->wstatus = WireStatus::kRejected;
     } else {
       reply->wstatus = WireStatus::kOk;
-      reply->answer_digest = DigestMultiset(got);
+      reply->answer_digest = digest.value();
       reply->journal_len = journal_.size();
       reply->lo = msg.lo;
       reply->hi = msg.hi;

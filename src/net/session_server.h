@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "net/multiset_digest.h"
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,8 +18,9 @@
 
 namespace viewmat::net {
 
-/// FNV-1a digest of a counted tuple multiset — how query answers travel on
-/// the wire (and how the chaos oracle compares them to expected answers).
+/// MultisetDigest of a counted tuple multiset — how query answers travel
+/// on the wire (the server streams its answer into the same accumulator),
+/// and how the chaos oracle and the host benchmark digest expected answers.
 uint64_t DigestMultiset(const sim::ViewMultiset& m);
 
 /// The refresher-side endpoint: acknowledges kRefreshPing so the server

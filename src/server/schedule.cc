@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <string>
 
 #include "common/random.h"
 #include "db/predicate.h"
+#include "net/multiset_digest.h"
 #include "workload/workload.h"
 
 namespace viewmat::server {
@@ -215,30 +215,23 @@ uint64_t AnalyzeSchedule(Schedule* schedule) {
 }
 
 StatusOr<uint64_t> StateDigest(sim::StrategyDriver* driver) {
+  // Distinct domain tags keep a base tuple and an equal-valued view tuple
+  // from cancelling or standing in for each other, so the two sums add up
+  // to a digest of the pair.
+  constexpr uint64_t kBaseDomain = 0x42617365'00000000ull;  // "Base"
+  constexpr uint64_t kViewDomain = 0x56696577'00000000ull;  // "View"
   sim::ViewMultiset base;
   VIEWMAT_RETURN_IF_ERROR(driver->VisibleBase(&base));
-  sim::ViewMultiset view;
+  net::MultisetDigest base_digest(kBaseDomain);
+  for (const auto& [t, count] : base) base_digest.Add(t, count);
+  net::MultisetDigest view_digest(kViewDomain);
   const int64_t n = driver->scenario()->n();
   VIEWMAT_RETURN_IF_ERROR(
       driver->Query(0, n - 1, [&](const db::Tuple& value, int64_t count) {
-        view[value] += count;
+        view_digest.Add(value, count);
         return true;
       }));
-
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& [t, count] : base) {
-    mix("B" + t.ToString() + ":" + std::to_string(count));
-  }
-  for (const auto& [t, count] : view) {
-    mix("V" + t.ToString() + ":" + std::to_string(count));
-  }
-  return h;
+  return base_digest.value() + view_digest.value();
 }
 
 }  // namespace viewmat::server

@@ -118,9 +118,10 @@ void AdvanceShadow(const ScheduledOp& op, sim::ShadowOracle* shadow);
 /// total number of conflict edges.
 uint64_t AnalyzeSchedule(Schedule* schedule);
 
-/// FNV-1a digest of the driver's converged observable state: the visible
-/// base multiset plus the full-range view answer. Two runs ended in the
-/// same logical state iff their digests match (up to hashing).
+/// Digest of the driver's converged observable state: the visible base
+/// multiset plus the full-range view answer, each in its own
+/// net::MultisetDigest domain. Two runs ended in the same logical state iff
+/// their digests match (up to hashing).
 StatusOr<uint64_t> StateDigest(sim::StrategyDriver* driver);
 
 }  // namespace viewmat::server

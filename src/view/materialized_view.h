@@ -24,7 +24,9 @@ namespace viewmat::view {
 /// a hidden trailing int64 column.
 class MaterializedView {
  public:
-  /// Visitor over distinct view values with their multiplicities.
+  /// Visitor over distinct view values with their multiplicities. `value`
+  /// is valid only during the call: scans decode every row into one scratch
+  /// tuple, so a visitor that keeps a value must copy it.
   using CountedVisitor =
       std::function<bool(const db::Tuple& value, int64_t count)>;
 
@@ -49,7 +51,9 @@ class MaterializedView {
   Status ApplyDelta(const std::vector<db::Tuple>& inserts,
                     const std::vector<db::Tuple>& deletes);
 
-  /// Clustered scan of values with view key in [lo, hi].
+  /// Clustered scan of values with view key in [lo, hi]. Each record's
+  /// view fields are decoded in place into one scratch tuple and its count
+  /// read from its fixed offset; no per-row copy is made.
   Status Query(int64_t lo, int64_t hi, const CountedVisitor& visit) const;
 
   /// Every value, in key order.
@@ -66,9 +70,10 @@ class MaterializedView {
   size_t data_page_count() const { return stored_->data_page_count(); }
 
  private:
-  /// The stored tuple = view value + trailing count column.
+  /// The stored tuple = view value + trailing count column. The view
+  /// schema is therefore a byte prefix of the stored schema, which lets
+  /// scans decode the view fields straight from each record.
   db::Tuple WithCount(const db::Tuple& value, int64_t count) const;
-  db::Tuple StripCount(const db::Tuple& stored, int64_t* count) const;
 
   /// Finds the stored tuple equal to `value` on all view fields.
   StatusOr<db::Tuple> FindStored(const db::Tuple& value) const;

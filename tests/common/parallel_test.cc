@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -68,6 +69,11 @@ TEST(ParallelFor, FirstExceptionPropagatesAndCancelsRemainingWork) {
                            [&](size_t i) {
                              started.fetch_add(1);
                              if (i == 5) throw std::runtime_error("boom");
+                             // A fixed cost per task, so the other workers
+                             // cannot drain all thousand indices while the
+                             // thrower is still unwinding.
+                             std::this_thread::sleep_for(
+                                 std::chrono::microseconds(200));
                            }),
                std::runtime_error);
   // Cancellation is advisory (already-dequeued indices still run), but the

@@ -118,8 +118,10 @@ TEST_P(ModelPropertiesTest, BatchingDirectionFollowsConcavityOfYao) {
 INSTANTIATE_TEST_SUITE_P(SweepP, ModelPropertiesTest,
                          ::testing::Values(0.05, 0.1, 0.25, 0.5, 0.75, 0.9),
                          [](const ::testing::TestParamInfo<double>& info) {
-                           return "P" + std::to_string(static_cast<int>(
-                                            info.param * 100));
+                           std::string name = "P";
+                           name.append(std::to_string(
+                               static_cast<int>(info.param * 100)));
+                           return name;
                          });
 
 }  // namespace

@@ -128,8 +128,11 @@ INSTANTIATE_TEST_SUITE_P(
                       YaoCase{10000, 250}, YaoCase{500, 500},
                       YaoCase{2000, 40}),
     [](const ::testing::TestParamInfo<YaoCase>& info) {
-      return "n" + std::to_string(info.param.n) + "m" +
-             std::to_string(info.param.m);
+      std::string name = "n";
+      name.append(std::to_string(info.param.n))
+          .append("m")
+          .append(std::to_string(info.param.m));
+      return name;
     });
 
 }  // namespace

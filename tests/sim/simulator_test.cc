@@ -131,10 +131,10 @@ TEST(Simulator, DeterministicAcrossRuns) {
 }
 
 TEST(SeriesTable, FormatsRows) {
-  SeriesTable table;
-  table.title = "demo";
-  table.x_label = "P";
-  table.series_names = {"a", "b"};
+  SeriesTable table{.title = "demo",
+                    .x_label = "P",
+                    .series_names = {"a", "b"},
+                    .rows = {}};
   table.AddRow(0.5, {1.0, 2.0});
   const std::string s = table.ToString();
   EXPECT_NE(s.find("# demo"), std::string::npos);
