@@ -36,18 +36,18 @@ uint32_t RecoveryManager::Register(Relation* rel) {
 
 Status RecoveryManager::AppendIntent(uint8_t type, uint32_t rel_idx,
                                      const Relation& rel, const Tuple& t) {
-  const uint32_t record_size = rel.schema().record_size();
-  std::vector<uint8_t> payload(sizeof(uint32_t) + record_size);
-  std::memcpy(payload.data(), &rel_idx, sizeof(uint32_t));
-  t.Serialize(rel.schema(), payload.data() + sizeof(uint32_t));
-  if (payload.size() > wal_.max_payload()) {
+  const size_t size = sizeof(uint32_t) + rel.schema().record_size();
+  if (size > wal_.max_payload()) {
     return Status::InvalidArgument(
-        "tuple of relation '" + rel.name() + "' (" +
-        std::to_string(payload.size()) + " bytes) exceeds the WAL record "
-        "payload limit (" + std::to_string(wal_.max_payload()) + ")");
+        "tuple of relation '" + rel.name() + "' (" + std::to_string(size) +
+        " bytes) exceeds the WAL record payload limit (" +
+        std::to_string(wal_.max_payload()) + ")");
   }
-  return wal_.Append(type, payload.data(),
-                     static_cast<uint16_t>(payload.size()));
+  // Grows to the widest relation once, then is reused by every intent.
+  if (intent_buf_.size() < size) intent_buf_.resize(size);
+  std::memcpy(intent_buf_.data(), &rel_idx, sizeof(uint32_t));
+  t.Serialize(rel.schema(), intent_buf_.data() + sizeof(uint32_t));
+  return wal_.Append(type, intent_buf_.data(), static_cast<uint16_t>(size));
 }
 
 Status RecoveryManager::CommitAndApply(const Transaction& txn,

@@ -200,6 +200,8 @@ class RecoveryManager {
   Options options_;
   storage::WriteAheadLog wal_;
   std::vector<Relation*> relations_;
+  /// AppendIntent's payload scratch ([u32 rel_idx][record]).
+  std::vector<uint8_t> intent_buf_;
   uint64_t txn_seq_ = 0;
   uint64_t last_committed_txn_ = 0;
   uint64_t commits_since_checkpoint_ = 0;

@@ -6,24 +6,16 @@
 
 namespace viewmat::db {
 
-namespace {
-
-/// Serialized image of a tuple, reused as a comparison buffer.
-std::vector<uint8_t> SerializeTuple(const Schema& schema, const Tuple& t) {
-  std::vector<uint8_t> buf(schema.record_size());
-  t.Serialize(schema, buf.data());
-  return buf;
-}
-
-}  // namespace
-
 Relation::Relation(storage::BufferPool* pool, std::string name, Schema schema,
                    AccessMethod method, size_t key_field, Options options)
     : pool_(pool),
       name_(std::move(name)),
       schema_(std::move(schema)),
       method_(method),
-      key_field_(key_field) {
+      key_field_(key_field),
+      record_buf_(schema_.record_size()),
+      old_record_buf_(schema_.record_size()),
+      heap_read_buf_(schema_.record_size()) {
   VIEWMAT_CHECK(pool_ != nullptr);
   VIEWMAT_CHECK(key_field_ < schema_.field_count());
   VIEWMAT_CHECK_MSG(schema_.field(key_field_).type == ValueType::kInt64,
@@ -57,18 +49,18 @@ int64_t Relation::KeyOf(const Tuple& t) const {
 }
 
 Status Relation::Insert(const Tuple& t) {
-  const std::vector<uint8_t> buf = SerializeTuple(schema_, t);
+  uint8_t* const buf = record_buf_.data();
+  t.Serialize(schema_, buf);
   const int64_t key = KeyOf(t);
   switch (method_) {
     case AccessMethod::kClusteredBTree:
-      VIEWMAT_RETURN_IF_ERROR(btree_->Insert(key, buf.data()));
+      VIEWMAT_RETURN_IF_ERROR(btree_->Insert(key, buf));
       break;
     case AccessMethod::kClusteredHash:
-      VIEWMAT_RETURN_IF_ERROR(hash_->Insert(key, buf.data()));
+      VIEWMAT_RETURN_IF_ERROR(hash_->Insert(key, buf));
       break;
     case AccessMethod::kHeap: {
-      VIEWMAT_ASSIGN_OR_RETURN(const storage::Rid rid,
-                               heap_->Insert(buf.data()));
+      VIEWMAT_ASSIGN_OR_RETURN(const storage::Rid rid, heap_->Insert(buf));
       heap_key_index_.emplace(key, rid);
       break;
     }
@@ -110,11 +102,11 @@ Status Relation::Compact() {
 
 Status Relation::HeapDeleteWhere(
     int64_t key, const std::function<bool(const Tuple&)>& pred) {
-  std::vector<uint8_t> buf(schema_.record_size());
+  uint8_t* const buf = heap_read_buf_.data();
   auto [it, end] = heap_key_index_.equal_range(key);
   for (; it != end; ++it) {
-    VIEWMAT_RETURN_IF_ERROR(heap_->Get(it->second, buf.data()));
-    const Tuple stored = Tuple::Deserialize(schema_, buf.data());
+    VIEWMAT_RETURN_IF_ERROR(heap_->Get(it->second, buf));
+    const Tuple stored = Tuple::Deserialize(schema_, buf);
     if (pred(stored)) {
       VIEWMAT_RETURN_IF_ERROR(heap_->Delete(it->second));
       heap_key_index_.erase(it);
@@ -125,10 +117,10 @@ Status Relation::HeapDeleteWhere(
 }
 
 Status Relation::DeleteExact(const Tuple& t) {
-  const std::vector<uint8_t> buf = SerializeTuple(schema_, t);
+  t.Serialize(schema_, record_buf_.data());
   const int64_t key = KeyOf(t);
-  auto bytes_match = [&](const uint8_t* payload) {
-    return std::memcmp(payload, buf.data(), buf.size()) == 0;
+  auto bytes_match = [this](const uint8_t* payload) {
+    return std::memcmp(payload, record_buf_.data(), record_buf_.size()) == 0;
   };
   Status st;
   switch (method_) {
@@ -153,23 +145,26 @@ Status Relation::UpdateExact(const Tuple& old_t, const Tuple& new_t) {
     VIEWMAT_RETURN_IF_ERROR(DeleteExact(old_t));
     return Insert(new_t);
   }
-  const std::vector<uint8_t> old_buf = SerializeTuple(schema_, old_t);
-  const std::vector<uint8_t> new_buf = SerializeTuple(schema_, new_t);
-  auto bytes_match = [&](const uint8_t* payload) {
-    return std::memcmp(payload, old_buf.data(), old_buf.size()) == 0;
+  uint8_t* const old_buf = old_record_buf_.data();
+  uint8_t* const new_buf = record_buf_.data();
+  const size_t size = record_buf_.size();
+  old_t.Serialize(schema_, old_buf);
+  new_t.Serialize(schema_, new_buf);
+  auto bytes_match = [old_buf, size](const uint8_t* payload) {
+    return std::memcmp(payload, old_buf, size) == 0;
   };
   switch (method_) {
     case AccessMethod::kClusteredBTree:
-      return btree_->UpdatePayload(old_key, bytes_match, new_buf.data());
+      return btree_->UpdatePayload(old_key, bytes_match, new_buf);
     case AccessMethod::kClusteredHash:
-      return hash_->UpdatePayload(old_key, bytes_match, new_buf.data());
+      return hash_->UpdatePayload(old_key, bytes_match, new_buf);
     case AccessMethod::kHeap: {
+      uint8_t* const buf = heap_read_buf_.data();
       auto [it, end] = heap_key_index_.equal_range(old_key);
-      std::vector<uint8_t> buf(schema_.record_size());
       for (; it != end; ++it) {
-        VIEWMAT_RETURN_IF_ERROR(heap_->Get(it->second, buf.data()));
-        if (std::memcmp(buf.data(), old_buf.data(), buf.size()) == 0) {
-          return heap_->Update(it->second, new_buf.data());
+        VIEWMAT_RETURN_IF_ERROR(heap_->Get(it->second, buf));
+        if (std::memcmp(buf, old_buf, size) == 0) {
+          return heap_->Update(it->second, new_buf);
         }
       }
       return Status::NotFound("no matching tuple");

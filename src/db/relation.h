@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "db/schema.h"
@@ -120,6 +121,11 @@ class Relation {
   AccessMethod method_;
   size_t key_field_;
   size_t tuple_count_ = 0;
+  // Serialized-record scratch for the write paths (Insert, DeleteExact,
+  // UpdateExact), which run exclusively; const read paths never touch them.
+  std::vector<uint8_t> record_buf_;      ///< the record written or deleted
+  std::vector<uint8_t> old_record_buf_;  ///< UpdateExact's old image
+  std::vector<uint8_t> heap_read_buf_;   ///< heap records read back
 
   // Exactly one of these is active, per method_.
   std::unique_ptr<storage::BPTree> btree_;

@@ -28,6 +28,7 @@ AdFile::AdFile(storage::BufferPool* pool, db::Schema schema, size_t key_field,
       schema_(std::move(schema)),
       key_field_(key_field),
       options_(options),
+      entry_buf_(1 + schema_.record_size()),
       bloom_(storage::BloomFilter::ForExpectedKeys(options.expected_keys,
                                                    options.bloom_fp_rate)) {
   VIEWMAT_CHECK(key_field_ < schema_.field_count());
@@ -41,37 +42,35 @@ AdFile::AdFile(storage::BufferPool* pool, db::Schema schema, size_t key_field,
   }
 }
 
-std::vector<uint8_t> AdFile::EncodeEntry(Role role,
-                                         const db::Tuple& t) const {
-  std::vector<uint8_t> buf(1 + schema_.record_size());
-  buf[0] = static_cast<uint8_t>(role);
-  t.Serialize(schema_, buf.data() + 1);
-  return buf;
+const uint8_t* AdFile::EncodeEntry(Role role, const db::Tuple& t) {
+  entry_buf_[0] = static_cast<uint8_t>(role);
+  t.Serialize(schema_, entry_buf_.data() + 1);
+  return entry_buf_.data();
 }
 
 Status AdFile::RemoveEntry(Role role, const db::Tuple& t) {
-  const std::vector<uint8_t> want = EncodeEntry(role, t);
+  const uint8_t* want = EncodeEntry(role, t);
+  const size_t size = entry_buf_.size();
   const int64_t key = t.at(key_field_).AsInt64();
-  return hash_->Delete(key, [&](const uint8_t* payload) {
-    return std::memcmp(payload, want.data(), want.size()) == 0;
+  return hash_->Delete(key, [want, size](const uint8_t* payload) {
+    return std::memcmp(payload, want, size) == 0;
   });
 }
 
 Status AdFile::ApplyInsert(const db::Tuple& t) {
   // A pending deletion of the identical tuple nets to nothing.
   if (RemoveEntry(Role::kDeleted, t).ok()) return Status::OK();
-  const std::vector<uint8_t> entry = EncodeEntry(Role::kAppended, t);
   const int64_t key = t.at(key_field_).AsInt64();
-  VIEWMAT_RETURN_IF_ERROR(hash_->Insert(key, entry.data()));
+  VIEWMAT_RETURN_IF_ERROR(
+      hash_->Insert(key, EncodeEntry(Role::kAppended, t)));
   bloom_.Add(static_cast<uint64_t>(key));
   return Status::OK();
 }
 
 Status AdFile::ApplyDelete(const db::Tuple& t) {
   if (RemoveEntry(Role::kAppended, t).ok()) return Status::OK();
-  const std::vector<uint8_t> entry = EncodeEntry(Role::kDeleted, t);
   const int64_t key = t.at(key_field_).AsInt64();
-  VIEWMAT_RETURN_IF_ERROR(hash_->Insert(key, entry.data()));
+  VIEWMAT_RETURN_IF_ERROR(hash_->Insert(key, EncodeEntry(Role::kDeleted, t)));
   bloom_.Add(static_cast<uint64_t>(key));
   return Status::OK();
 }
@@ -81,10 +80,11 @@ Status AdFile::LogIntent(WalRecord type, const db::Tuple& t) {
   storage::DiskInterface* disk = pool_->disk();
   VIEWMAT_RETURN_IF_ERROR(
       disk->AtCrashPoint(storage::CrashPoint::kBeforeWalAppend));
-  std::vector<uint8_t> buf(schema_.record_size());
-  t.Serialize(schema_, buf.data());
-  VIEWMAT_RETURN_IF_ERROR(log_->Append(static_cast<uint8_t>(type), buf.data(),
-                                       static_cast<uint16_t>(buf.size())));
+  // The log record is the entry image without its role byte.
+  t.Serialize(schema_, entry_buf_.data() + 1);
+  VIEWMAT_RETURN_IF_ERROR(
+      log_->Append(static_cast<uint8_t>(type), entry_buf_.data() + 1,
+                   static_cast<uint16_t>(schema_.record_size())));
   return disk->AtCrashPoint(storage::CrashPoint::kAfterWalAppend);
 }
 

@@ -188,8 +188,9 @@ class AdFile {
   void ScrambleForTest();
 
  private:
-  /// Payload layout: [u8 role][serialized tuple].
-  std::vector<uint8_t> EncodeEntry(Role role, const db::Tuple& t) const;
+  /// Encodes (role, t) into entry_buf_ and returns it. Payload layout:
+  /// [u8 role][serialized tuple].
+  const uint8_t* EncodeEntry(Role role, const db::Tuple& t);
 
   /// Removes one entry equal to (role, t); NotFound if absent.
   Status RemoveEntry(Role role, const db::Tuple& t);
@@ -206,6 +207,9 @@ class AdFile {
   db::Schema schema_;
   size_t key_field_;
   Options options_;
+  /// Scratch for the write paths (entry images and intent records); AD
+  /// mutations run exclusively.
+  std::vector<uint8_t> entry_buf_;
   std::unique_ptr<storage::HashIndex> hash_;
   storage::BloomFilter bloom_;
   std::unique_ptr<AdLog> log_;

@@ -236,8 +236,9 @@ Status BPTree::InsertIntoParents(std::vector<PathEntry>* path, int64_t sep,
 
 Status BPTree::Insert(int64_t key, const uint8_t* payload) {
   const ScopedComponent tag(pool_->disk()->tracker(), Component::kBptree);
-  std::vector<PathEntry> path;
-  VIEWMAT_ASSIGN_OR_RETURN(const PageId leaf_id, DescendToLeaf(key, &path));
+  insert_path_.clear();
+  VIEWMAT_ASSIGN_OR_RETURN(const PageId leaf_id,
+                           DescendToLeaf(key, &insert_path_));
   VIEWMAT_ASSIGN_OR_RETURN(PageGuard leaf, pool_->Fetch(leaf_id));
   Page& pg = leaf.page();
   if (Count(pg) < leaf_capacity_) {
@@ -257,7 +258,7 @@ Status BPTree::Insert(int64_t key, const uint8_t* payload) {
     rguard.MarkDirty();
   }
   ++entry_count_;
-  return InsertIntoParents(&path, split.separator, split.right);
+  return InsertIntoParents(&insert_path_, split.separator, split.right);
 }
 
 Status BPTree::BulkLoad(const BulkSource& source, double fill_factor) {

@@ -179,6 +179,8 @@ class BPTree {
   uint32_t height_ = 1;
   size_t entry_count_ = 0;
   size_t leaf_page_count_ = 1;
+  /// Insert's root-to-leaf path, kept to reuse its capacity across calls.
+  std::vector<PathEntry> insert_path_;
 };
 
 }  // namespace viewmat::storage

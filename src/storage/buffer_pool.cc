@@ -1,6 +1,7 @@
 #include "storage/buffer_pool.h"
 
 #include <atomic>
+#include <bit>
 
 #include "common/logging.h"
 #include "storage/wal.h"
@@ -43,10 +44,65 @@ void PageGuard::Release() {
 BufferPool::BufferPool(DiskInterface* disk, size_t capacity)
     : disk_(disk), capacity_(capacity) {
   VIEWMAT_CHECK(disk_ != nullptr);
-  VIEWMAT_CHECK(capacity_ >= 2);
+  VIEWMAT_CHECK(capacity_ >= 2 && capacity_ < kNoFrame);
   frames_.resize(capacity_);
+  dirty_.resize((capacity_ + 63) / 64);
   free_frames_.reserve(capacity_);
   for (size_t i = capacity_; i > 0; --i) free_frames_.push_back(i - 1);
+}
+
+void BufferPool::MapPage(PageId id, size_t frame) {
+  if (id >= table_.size()) table_.resize(size_t{id} + 1, kNoFrame);
+  table_[id] = static_cast<uint32_t>(frame);
+}
+
+void BufferPool::LruPushBack(size_t frame) {
+  Frame& fr = frames_[frame];
+  fr.lru_prev = lru_tail_;
+  fr.lru_next = kNoFrame;
+  if (lru_tail_ != kNoFrame) {
+    frames_[lru_tail_].lru_next = static_cast<uint32_t>(frame);
+  } else {
+    lru_head_ = static_cast<uint32_t>(frame);
+  }
+  lru_tail_ = static_cast<uint32_t>(frame);
+}
+
+void BufferPool::LruPushFront(size_t frame) {
+  Frame& fr = frames_[frame];
+  fr.lru_prev = kNoFrame;
+  fr.lru_next = lru_head_;
+  if (lru_head_ != kNoFrame) {
+    frames_[lru_head_].lru_prev = static_cast<uint32_t>(frame);
+  } else {
+    lru_tail_ = static_cast<uint32_t>(frame);
+  }
+  lru_head_ = static_cast<uint32_t>(frame);
+}
+
+void BufferPool::LruErase(size_t frame) {
+  Frame& fr = frames_[frame];
+  if (fr.lru_prev != kNoFrame) {
+    frames_[fr.lru_prev].lru_next = fr.lru_next;
+  } else {
+    lru_head_ = fr.lru_next;
+  }
+  if (fr.lru_next != kNoFrame) {
+    frames_[fr.lru_next].lru_prev = fr.lru_prev;
+  } else {
+    lru_tail_ = fr.lru_prev;
+  }
+  fr.lru_prev = kNoFrame;
+  fr.lru_next = kNoFrame;
+}
+
+void BufferPool::ReleaseFrame(size_t frame) {
+  Frame& fr = frames_[frame];
+  LruErase(frame);
+  table_[fr.id] = kNoFrame;
+  fr.in_use = false;
+  ClearDirty(frame);
+  free_frames_.push_back(frame);
 }
 
 StatusOr<size_t> BufferPool::AcquireFrame() {
@@ -58,32 +114,31 @@ StatusOr<size_t> BufferPool::AcquireFrame() {
     }
     return f;
   }
-  if (lru_.empty()) {
+  if (lru_head_ == kNoFrame) {
     return Status::ResourceExhausted("all buffer frames are pinned");
   }
-  const size_t victim = lru_.front();
-  lru_.pop_front();
+  const size_t victim = lru_head_;
+  LruErase(victim);
   Frame& fr = frames_[victim];
   VIEWMAT_DCHECK(fr.in_use && fr.pin_count == 0);
-  if (fr.dirty) {
+  if (IsDirty(victim)) {
     Status flushed = EnforceWalRule(*fr.page);
     if (flushed.ok()) flushed = disk_->Write(fr.id, *fr.page);
     if (!flushed.ok()) {
       // Re-link the victim before surfacing the error: it was already
-      // popped from the LRU list, and returning with it unlinked leaves
+      // unlinked from the LRU list, and returning with it unlinked leaves
       // the frame unreachable (in_use, unpinned, on neither list) — the
       // pool then shrinks by one frame per failed flush until every
       // Fetch fails with "all buffer frames are pinned" despite zero
       // pins. The page is still intact and cached, so it goes back to
       // its old spot at the cold end of the list.
-      lru_.push_front(victim);
-      fr.lru_pos = lru_.begin();
+      LruPushFront(victim);
       return flushed;
     }
   }
-  table_.erase(fr.id);
+  table_[fr.id] = kNoFrame;
   fr.in_use = false;
-  fr.dirty = false;
+  ClearDirty(victim);
   return victim;
 }
 
@@ -91,30 +146,28 @@ StatusOr<PageGuard> BufferPool::Fetch(PageId id) {
   if (concurrent_reads_.load(std::memory_order_acquire)) {
     // Window invariant: the table is frozen (no inserts/evictions), so the
     // lookup races with nothing; the pin count is the only mutable word.
-    auto it = table_.find(id);
-    if (it == table_.end()) {
+    const uint32_t hit = FrameOf(id);
+    if (hit == kNoFrame) {
       return Status::Internal("buffer miss inside a concurrent-read window");
     }
-    Frame& fr = frames_[it->second];
-    std::atomic_ref<uint32_t>(fr.pin_count)
+    std::atomic_ref<uint32_t>(frames_[hit].pin_count)
         .fetch_add(1, std::memory_order_acq_rel);
-    return PageGuard(this, it->second, id);
+    return PageGuard(this, hit, id);
   }
-  auto it = table_.find(id);
-  if (it != table_.end()) {
-    Frame& fr = frames_[it->second];
-    if (fr.pin_count == 0) lru_.erase(fr.lru_pos);
+  const uint32_t hit = FrameOf(id);
+  if (hit != kNoFrame) {
+    Frame& fr = frames_[hit];
+    if (fr.pin_count == 0) LruErase(hit);
     ++fr.pin_count;
-    return PageGuard(this, it->second, id);
+    return PageGuard(this, hit, id);
   }
   VIEWMAT_ASSIGN_OR_RETURN(const size_t f, AcquireFrame());
   Frame& fr = frames_[f];
   VIEWMAT_RETURN_IF_ERROR(disk_->Read(id, fr.page.get()));
   fr.id = id;
   fr.pin_count = 1;
-  fr.dirty = false;
   fr.in_use = true;
-  table_[id] = f;
+  MapPage(id, f);
   return PageGuard(this, f, id);
 }
 
@@ -126,24 +179,19 @@ StatusOr<PageGuard> BufferPool::NewPage() {
   fr.id = id;
   fr.pin_count = 1;
   // A fresh page must reach the disk even if never modified again.
-  fr.dirty = true;
+  SetDirty(f);
   fr.in_use = true;
-  table_[id] = f;
+  MapPage(id, f);
   return PageGuard(this, f, id);
 }
 
 Status BufferPool::DeletePage(PageId id) {
-  auto it = table_.find(id);
-  if (it != table_.end()) {
-    Frame& fr = frames_[it->second];
-    if (fr.pin_count > 0) {
+  const uint32_t f = FrameOf(id);
+  if (f != kNoFrame) {
+    if (frames_[f].pin_count > 0) {
       return Status::FailedPrecondition("deleting a pinned page");
     }
-    lru_.erase(fr.lru_pos);
-    fr.in_use = false;
-    fr.dirty = false;
-    free_frames_.push_back(it->second);
-    table_.erase(it);
+    ReleaseFrame(f);
   }
   return disk_->Free(id);
 }
@@ -159,10 +207,7 @@ void BufferPool::Unpin(size_t frame, PageId id) {
     return;
   }
   VIEWMAT_CHECK(fr.in_use && fr.id == id && fr.pin_count > 0);
-  if (--fr.pin_count == 0) {
-    lru_.push_back(frame);
-    fr.lru_pos = std::prev(lru_.end());
-  }
+  if (--fr.pin_count == 0) LruPushBack(frame);
 }
 
 Status BufferPool::EnforceWalRule(const Page& page) {
@@ -175,11 +220,16 @@ Status BufferPool::EnforceWalRule(const Page& page) {
 
 Status BufferPool::FlushAll() {
   const ScopedComponent tag(disk_->tracker(), Component::kBufferPool);
-  for (Frame& fr : frames_) {
-    if (fr.in_use && fr.dirty) {
+  // Ascending frame order, so the device sees the same write sequence as a
+  // scan over every frame would produce.
+  for (size_t w = 0; w < dirty_.size(); ++w) {
+    while (dirty_[w] != 0) {
+      const size_t f = w * 64 + std::countr_zero(dirty_[w]);
+      Frame& fr = frames_[f];
+      VIEWMAT_DCHECK(fr.in_use);
       VIEWMAT_RETURN_IF_ERROR(EnforceWalRule(*fr.page));
       VIEWMAT_RETURN_IF_ERROR(disk_->Write(fr.id, *fr.page));
-      fr.dirty = false;
+      ClearDirty(f);
     }
   }
   return Status::OK();
@@ -187,16 +237,12 @@ Status BufferPool::FlushAll() {
 
 Status BufferPool::DiscardAll() {
   for (size_t i = 0; i < frames_.size(); ++i) {
-    Frame& fr = frames_[i];
+    const Frame& fr = frames_[i];
     if (!fr.in_use) continue;
     if (fr.pin_count > 0) {
       return Status::FailedPrecondition("discarding a pinned page");
     }
-    lru_.erase(fr.lru_pos);
-    table_.erase(fr.id);
-    fr.in_use = false;
-    fr.dirty = false;
-    free_frames_.push_back(i);
+    ReleaseFrame(i);
   }
   return Status::OK();
 }
@@ -214,15 +260,12 @@ Status BufferPool::FlushAndEvictAll() {
   const ScopedComponent tag(disk_->tracker(), Component::kBufferPool);
   VIEWMAT_RETURN_IF_ERROR(FlushAll());
   for (size_t i = 0; i < frames_.size(); ++i) {
-    Frame& fr = frames_[i];
+    const Frame& fr = frames_[i];
     if (!fr.in_use) continue;
     if (fr.pin_count > 0) {
       return Status::FailedPrecondition("evicting a pinned page");
     }
-    lru_.erase(fr.lru_pos);
-    table_.erase(fr.id);
-    fr.in_use = false;
-    free_frames_.push_back(i);
+    ReleaseFrame(i);
   }
   return Status::OK();
 }

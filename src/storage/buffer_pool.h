@@ -3,9 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -53,6 +51,14 @@ class PageGuard {
 /// measured I/O counts reflect the same caching assumptions the paper's
 /// formulas make (e.g. R2 pages staying resident during a nested-loops
 /// join).
+///
+/// Pinning and unpinning allocate nothing: the LRU list is threaded through
+/// the frames as prev/next indices, the page table is a vector indexed by
+/// PageId (the disk hands out dense, recycled ids), and dirtiness is a
+/// bitmap with one bit per frame that FlushAll walks in ascending frame
+/// order. The victim order is part of the cost model — every miss and
+/// dirty write-back is a charged I/O — so these structures reproduce the
+/// classic list-based LRU exactly.
 class BufferPool {
  public:
   BufferPool(DiskInterface* disk, size_t capacity);
@@ -121,21 +127,49 @@ class BufferPool {
  private:
   friend class PageGuard;
 
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
   struct Frame {
     std::unique_ptr<Page> page;
     PageId id = kInvalidPageId;
     uint32_t pin_count = 0;
-    bool dirty = false;
     bool in_use = false;
-    std::list<size_t>::iterator lru_pos;  // valid iff pin_count == 0 && in_use
+    // LRU links, valid iff pin_count == 0 && in_use.
+    uint32_t lru_prev = kNoFrame;
+    uint32_t lru_next = kNoFrame;
   };
 
   void Unpin(size_t frame, PageId id);
   void MarkDirtyFrame(size_t frame) {
-    frames_[frame].dirty = true;
+    SetDirty(frame);
     Page& page = *frames_[frame].page;
     if (stamp_lsn_ > page.lsn()) page.set_lsn(stamp_lsn_);
   }
+
+  bool IsDirty(size_t frame) const {
+    return (dirty_[frame / 64] >> (frame % 64)) & 1;
+  }
+  void SetDirty(size_t frame) {
+    dirty_[frame / 64] |= uint64_t{1} << (frame % 64);
+  }
+  void ClearDirty(size_t frame) {
+    dirty_[frame / 64] &= ~(uint64_t{1} << (frame % 64));
+  }
+
+  /// The frame holding `id`, or kNoFrame.
+  uint32_t FrameOf(PageId id) const {
+    return id < table_.size() ? table_[id] : kNoFrame;
+  }
+  void MapPage(PageId id, size_t frame);
+
+  // Intrusive LRU list operations; the head is the least recently used.
+  void LruPushBack(size_t frame);
+  void LruPushFront(size_t frame);
+  void LruErase(size_t frame);
+  /// Forgets a resident, unpinned frame (dropping its dirty bit) and returns
+  /// it to the free list.
+  void ReleaseFrame(size_t frame);
+
   /// WAL rule: syncs the attached log if `page` carries an LSN newer than
   /// what the log has made durable. Called immediately before every dirty
   /// write-back.
@@ -147,8 +181,10 @@ class BufferPool {
   DiskInterface* disk_;
   size_t capacity_;
   std::vector<Frame> frames_;
-  std::unordered_map<PageId, size_t> table_;
-  std::list<size_t> lru_;  ///< unpinned frames, least-recently-used first
+  std::vector<uint32_t> table_;  ///< PageId -> frame, kNoFrame if absent
+  std::vector<uint64_t> dirty_;  ///< one bit per frame
+  uint32_t lru_head_ = kNoFrame;  ///< least recently used unpinned frame
+  uint32_t lru_tail_ = kNoFrame;  ///< most recently used unpinned frame
   std::vector<size_t> free_frames_;
   WriteAheadLog* wal_ = nullptr;
   Lsn stamp_lsn_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/crc32c.h"
 #include "common/logging.h"
 
 namespace viewmat::storage {
@@ -40,19 +41,16 @@ uint16_t WriteAheadLog::max_payload() const {
 
 uint32_t WriteAheadLog::Checksum(uint8_t type, uint16_t len, Lsn lsn,
                                  const uint8_t* payload) {
-  uint32_t h = 2166136261u;  // FNV-1a
-  const auto mix = [&h](uint8_t b) {
-    h ^= b;
-    h *= 16777619u;
-  };
-  mix(type);
-  mix(static_cast<uint8_t>(len & 0xff));
-  mix(static_cast<uint8_t>(len >> 8));
-  for (int shift = 0; shift < 64; shift += 8) {
-    mix(static_cast<uint8_t>(lsn >> shift));
+  // CRC-32C over the record header fields (little-endian, as laid out on
+  // the page) followed by the payload.
+  uint8_t header[11];
+  header[0] = type;
+  header[1] = static_cast<uint8_t>(len & 0xff);
+  header[2] = static_cast<uint8_t>(len >> 8);
+  for (int i = 0; i < 8; ++i) {
+    header[3 + i] = static_cast<uint8_t>(lsn >> (8 * i));
   }
-  for (uint16_t i = 0; i < len; ++i) mix(payload[i]);
-  return h;
+  return Crc32cExtend(Crc32c(header, sizeof(header)), payload, len);
 }
 
 void WriteAheadLog::PutRecord(Page* page, uint32_t off, uint8_t type,

@@ -53,7 +53,7 @@ class LsnAllocator {
 ///    write — group commit. Staging never spans pages: a record that does
 ///    not fit first syncs the pending tail, then rolls over durably.
 ///
-/// Torn-write safety: each record carries a length, its LSN, and an FNV-1a
+/// Torn-write safety: each record carries a length, its LSN, and a CRC-32C
 /// checksum. Records validate themselves — the scanner never trusts the
 /// page's `used` header, which travels in the same (tearable) block write
 /// as the record bytes. A write torn anywhere leaves every
@@ -72,6 +72,8 @@ class LsnAllocator {
 ///
 /// Page layout:   [u32 used][PageId next][records...]
 /// Record layout: [u8 type][u16 len][u64 lsn][u32 checksum][payload]
+/// (little-endian), where checksum = CRC-32C (common/crc32c.h) of the
+/// 11 type/len/lsn bytes followed by the payload.
 class WriteAheadLog {
  public:
   /// type, payload, payload length; return false to stop the scan.

@@ -182,6 +182,43 @@ TEST_F(WalTest, TornTailRecordIsDetectedAndDropped) {
   }
 }
 
+TEST_F(WalTest, AnySingleBitFlipInADurableRecordIsRejected) {
+  WriteAheadLog log(&disk_);
+  const std::vector<std::string> payloads = {"alpha", "twenty-byte-payload!",
+                                             "omega-08"};
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    ASSERT_TRUE(Append(&log, static_cast<uint8_t>(i + 1), payloads[i]).ok());
+  }
+  ASSERT_EQ(log.page_count(), 1u);
+  // The log's head page is the first page this fresh disk handed out.
+  const PageId head = 0;
+  Page original(inner_.page_size());
+  ASSERT_TRUE(inner_.Read(head, &original).ok());
+
+  // Records start after the 8-byte page header; each is a 15-byte header
+  // plus its payload. Flipping any bit of record k must end the scan just
+  // before it: records [0, k) replay, record k and beyond never do.
+  uint32_t off = 8;
+  for (size_t k = 0; k < payloads.size(); ++k) {
+    const uint32_t size = 15 + static_cast<uint32_t>(payloads[k].size());
+    for (uint32_t byte = off; byte < off + size; ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Page flipped = original;
+        flipped.data()[byte] ^= static_cast<uint8_t>(1u << bit);
+        ASSERT_TRUE(inner_.Write(head, flipped).ok());
+        bool torn = false;
+        const std::vector<Record> records = ScanAll(log, &torn);
+        ASSERT_EQ(records.size(), k) << "record " << k << " byte " << byte
+                                     << " bit " << bit;
+        EXPECT_TRUE(torn);
+      }
+    }
+    off += size;
+  }
+  ASSERT_TRUE(inner_.Write(head, original).ok());
+  EXPECT_EQ(ScanAll(log).size(), payloads.size());
+}
+
 TEST_F(WalTest, TruncateWithRecordLeavesOnlyTheCheckpoint) {
   WriteAheadLog log(&disk_);
   for (int i = 0; i < 8; ++i) ASSERT_TRUE(Append(&log, 1, "old").ok());
